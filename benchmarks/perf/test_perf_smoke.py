@@ -24,14 +24,9 @@ BASE_CASES = ["incast", "websearch_fct", "permutation"]
 
 def test_case_grid_is_wellformed():
     assert case_names() == BASE_CASES + [
-        "incast_batched",
-        "websearch_batched",
-        "permutation_batched",
         "incast_compiled",
         "websearch_compiled",
         "permutation_compiled",
-        "storm",
-        "storm_calendar",
         "fluid_grid",
     ]
     for case in PERF_CASES.values():
@@ -44,13 +39,9 @@ def test_case_grid_is_wellformed():
     # differing only in engine configuration — that is what makes their
     # compare-by-workload speedups honest
     for variant, base in (
-        ("incast_batched", "incast"),
-        ("websearch_batched", "websearch_fct"),
-        ("permutation_batched", "permutation"),
         ("incast_compiled", "incast"),
         ("websearch_compiled", "websearch_fct"),
         ("permutation_compiled", "permutation"),
-        ("storm_calendar", "storm"),
     ):
         assert PERF_CASES[variant].scenario == PERF_CASES[base].scenario
         assert PERF_CASES[variant].overrides == PERF_CASES[base].overrides
@@ -96,38 +87,22 @@ def test_compare_records_speedup(tmp_path):
 def test_engine_variant_borrows_workload_reference():
     # A reference document that predates the engine variants (PR 3's
     # BENCH_perf.json): the variant must fall back to the same-workload
-    # default-config entry, so speedups read engine-on vs engine-off.
+    # default-config entry, so speedups read compiled vs heap.
     ref = run_perf(cases=["incast"], tiny=True, repeats=1)
-    doc = run_perf(cases=["incast_batched"], tiny=True, repeats=1, compare=ref)
-    case = doc["cases"][0]
-    assert case["engine"] == {"tx_batch_limit": 8}
+    case = run_perf(
+        cases=["incast_compiled"], tiny=True, repeats=1, compare=ref
+    )["cases"][0]
+    if "skipped" in case:
+        # The borrowing rule does not depend on the engine: any case
+        # missing from the reference by name borrows by workload.
+        ref["cases"][0]["case"] = "renamed"
+        case = run_perf(cases=["incast"], tiny=True, repeats=1, compare=ref)[
+            "cases"
+        ][0]
+    else:
+        assert case["engine"] == {"scheduler": "compiled"}
     assert case["ref_events_per_sec"] == ref["cases"][0]["events_per_sec"]
     assert case["speedup"] > 0
-
-
-def test_batched_event_count_matches_unbatched():
-    # Coalesced accounting: each packet in a train still counts as one
-    # event, so events/sec compares honestly across batch configs.  The
-    # closed-loop workload itself may diverge slightly (mid-train
-    # arrivals see a shorter queue, shifting the odd ECN mark), so the
-    # counts agree to a tolerance rather than exactly.
-    base = run_perf(cases=["incast"], tiny=True, repeats=1)
-    batched = run_perf(cases=["incast_batched"], tiny=True, repeats=1)
-    a = base["cases"][0]["events_processed"]
-    b = batched["cases"][0]["events_processed"]
-    assert abs(a - b) / a < 0.02, (a, b)
-
-
-def test_calendar_variant_is_bit_identical():
-    # The calendar queue preserves (time, seq) order exactly: metrics
-    # and event counts must equal the heap run bit-for-bit.
-    base = run_perf(cases=["storm"], tiny=True, repeats=1)
-    calendar = run_perf(cases=["storm_calendar"], tiny=True, repeats=1)
-    assert base["cases"][0]["metrics"] == calendar["cases"][0]["metrics"]
-    assert (
-        base["cases"][0]["events_processed"]
-        == calendar["cases"][0]["events_processed"]
-    )
 
 
 def test_compiled_variant_is_bit_identical_or_skips():
@@ -138,20 +113,10 @@ def test_compiled_variant_is_bit_identical_or_skips():
     if "skipped" in entry:
         assert "compiled core unavailable" in entry["skipped"]
         return
-    base = run_perf(cases=["incast_batched"], tiny=True, repeats=1)
-    # same workload, batching on in both: only the drain loop differs
+    base = run_perf(cases=["incast"], tiny=True, repeats=1)
+    # same workload: only the drain loop differs
     assert entry["metrics"] == base["cases"][0]["metrics"]
     assert entry["events_processed"] == base["cases"][0]["events_processed"]
-
-
-def test_storm_depth_exceeds_auto_crossover():
-    # The deep-pending case must actually sit past the documented
-    # calendar crossover at full scale (that is its reason to exist) and
-    # stay tiny in CI smoke runs.
-    from repro.sim.engine import AUTO_CALENDAR_DEPTH
-
-    assert PERF_CASES["storm"].overrides["depth"] >= AUTO_CALENDAR_DEPTH
-    assert PERF_CASES["storm"].tiny["depth"] < AUTO_CALENDAR_DEPTH
 
 
 def test_history_accumulates_snapshots(tmp_path):

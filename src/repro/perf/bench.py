@@ -14,22 +14,15 @@ Three macro workloads cover the simulator's distinct hot-path mixes:
   (the acceptance benchmark for hot-path PRs);
 * ``permutation``   — fat-tree, all hosts active, long-lived windows.
 
-Engine-configuration variants rerun a workload under non-default engine
-settings (``PerfCase.engine`` → :func:`repro.sim.engine.engine_defaults`):
-``incast_batched`` / ``websearch_batched`` / ``permutation_batched`` turn
-on packet-train batching, and ``incast_compiled`` /
-``websearch_compiled`` / ``permutation_compiled`` stack the compiled
-event core on top of batching (skipped with a note when the extension is
-not built).  When comparing against a reference document that predates a
-variant, the variant borrows the reference entry with the same
+Engine variants rerun a workload under a non-default engine
+(``PerfCase.engine`` → :func:`repro.sim.engine.engine_defaults`):
+``incast_compiled`` / ``websearch_compiled`` / ``permutation_compiled``
+drain the event heap with the compiled core (skipped with a note when the
+extension is not built).  Every engine is exact, so a variant's metrics
+equal its workload's.  When comparing against a reference document that
+predates a variant, the variant borrows the reference entry with the same
 ``(scenario, overrides)`` workload and *default* engine config — so the
-recorded speedup is engine-on vs engine-off over the identical workload.
-``storm`` / ``storm_calendar`` run the deep-pending ``event_storm``
-churn (~128k pending events, past the calendar crossover — see
-``AUTO_CALENDAR_DEPTH``) under the heap and calendar schedulers; the
-macro packet workloads never reach that depth, which is why no packet
-case runs on the calendar (the retired ``incast_calendar`` case measured
-exactly that mismatch, as a 0.61x regression).
+recorded speedup is compiled vs heap over identical results.
 ``fluid_grid`` benchmarks the numpy-vectorized fluid integrator against
 the scalar loop on a phase-portrait-sized grid (its ``events`` are
 integration cell-steps, and its speedup is measured in-run against the
@@ -77,7 +70,7 @@ class PerfCase:
     #: reduced configuration for CI smoke runs (``--tiny``)
     tiny: Dict[str, Any] = field(default_factory=dict)
     #: engine configuration applied via ``engine_defaults`` around the
-    #: run (e.g. ``{"tx_batch_limit": 8}``); empty = engine defaults
+    #: run (e.g. ``{"scheduler": "compiled"}``); empty = engine defaults
     engine: Dict[str, Any] = field(default_factory=dict)
     #: "scenario" (default) or "fluid_grid" (vectorized fluid sweep)
     kind: str = "scenario"
@@ -87,208 +80,93 @@ class PerfCase:
         return dict(self.tiny if tiny else self.overrides)
 
 
+#: (full, tiny) override sets of the three macro workloads, shared by
+#: each workload's default-engine case and its compiled variant
+_WORKLOADS = {
+    "incast": (
+        dict(
+            algorithm="powertcp",
+            fanout=64,
+            burst_bytes=60_000,
+            duration_ns=8 * MSEC,
+        ),
+        dict(
+            algorithm="powertcp",
+            fanout=8,
+            burst_bytes=20_000,
+            duration_ns=1 * MSEC,
+        ),
+    ),
+    "websearch": (
+        dict(
+            algorithm="powertcp",
+            load=0.6,
+            duration_ns=20 * MSEC,
+            drain_ns=40 * MSEC,
+            size_scale=1 / 16,
+            max_flows=300,
+            seed=1,
+        ),
+        dict(
+            algorithm="powertcp",
+            load=0.4,
+            duration_ns=2 * MSEC,
+            drain_ns=6 * MSEC,
+            size_scale=1 / 16,
+            max_flows=15,
+            seed=1,
+        ),
+    ),
+    "permutation": (
+        dict(
+            algorithm="powertcp",
+            flow_bytes=1_000_000,
+            duration_ns=4 * MSEC,
+            drain_ns=16 * MSEC,
+            seed=1,
+        ),
+        dict(
+            algorithm="powertcp",
+            flow_bytes=50_000,
+            duration_ns=1 * MSEC,
+            drain_ns=3 * MSEC,
+            seed=1,
+        ),
+    ),
+}
+
+#: (case name, scenario) of each macro workload, in reporting order
+_MACRO = (
+    ("incast", "incast"),
+    ("websearch_fct", "websearch"),
+    ("permutation", "permutation"),
+)
+
 #: the tracked grid, in reporting order
 PERF_CASES: Dict[str, PerfCase] = {
     case.name: case
     for case in (
-        PerfCase(
-            name="incast",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
+        *(
+            PerfCase(
+                name=name,
+                scenario=scenario,
+                overrides=_WORKLOADS[scenario][0],
+                tiny=_WORKLOADS[scenario][1],
+            )
+            for name, scenario in _MACRO
         ),
-        PerfCase(
-            name="websearch_fct",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-        ),
-        PerfCase(
-            name="permutation",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-        ),
-        # Engine-configuration variants: same workloads, non-default
-        # engine.  Their --compare speedups measure the engine feature
-        # itself (matched by workload against the default-config entry).
-        PerfCase(
-            name="incast_batched",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="websearch_batched",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="permutation_batched",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-            engine=dict(tx_batch_limit=8),
-        ),
-        # Compiled event core stacked on batching: the optional C drain
-        # loop over the same workloads (skipped when the extension is
-        # not built).  Their --compare speedups measure compiled+batched
-        # vs the default engine on the identical workload.
-        PerfCase(
-            name="incast_compiled",
-            scenario="incast",
-            overrides=dict(
-                algorithm="powertcp",
-                fanout=64,
-                burst_bytes=60_000,
-                duration_ns=8 * MSEC,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                fanout=8,
-                burst_bytes=20_000,
-                duration_ns=1 * MSEC,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="websearch_compiled",
-            scenario="websearch",
-            overrides=dict(
-                algorithm="powertcp",
-                load=0.6,
-                duration_ns=20 * MSEC,
-                drain_ns=40 * MSEC,
-                size_scale=1 / 16,
-                max_flows=300,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                load=0.4,
-                duration_ns=2 * MSEC,
-                drain_ns=6 * MSEC,
-                size_scale=1 / 16,
-                max_flows=15,
-                seed=1,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        PerfCase(
-            name="permutation_compiled",
-            scenario="permutation",
-            overrides=dict(
-                algorithm="powertcp",
-                flow_bytes=1_000_000,
-                duration_ns=4 * MSEC,
-                drain_ns=16 * MSEC,
-                seed=1,
-            ),
-            tiny=dict(
-                algorithm="powertcp",
-                flow_bytes=50_000,
-                duration_ns=1 * MSEC,
-                drain_ns=3 * MSEC,
-                seed=1,
-            ),
-            engine=dict(scheduler="compiled", tx_batch_limit=8),
-        ),
-        # Deep-pending scheduler stress: ~128k pending events, past the
-        # calendar crossover (AUTO_CALENDAR_DEPTH) that the packet
-        # workloads never approach.  storm_calendar's speedup against
-        # storm's workload-matched baseline is the calendar queue's win
-        # in its design regime.
-        PerfCase(
-            name="storm",
-            scenario="event_storm",
-            overrides=dict(depth=131_072, duration_ns=100_000, seed=7),
-            tiny=dict(depth=4096, duration_ns=60_000, seed=7),
-        ),
-        PerfCase(
-            name="storm_calendar",
-            scenario="event_storm",
-            overrides=dict(depth=131_072, duration_ns=100_000, seed=7),
-            tiny=dict(depth=4096, duration_ns=60_000, seed=7),
-            engine=dict(scheduler="calendar"),
+        # The compiled event core over the same workloads (skipped when
+        # the extension is not built).  Their --compare speedups measure
+        # compiled vs heap on the identical workload and results.
+        *(
+            PerfCase(
+                name=f"{scenario}_compiled",
+                scenario=scenario,
+                overrides=_WORKLOADS[scenario][0],
+                tiny=_WORKLOADS[scenario][1],
+                engine=dict(scheduler="compiled"),
+            )
+            for _, scenario in _MACRO
         ),
         # Vectorized fluid integration: n_w x n_q initial states, one
         # simulate_grid call, compared in-run against the scalar loop
@@ -631,17 +509,16 @@ def engine_report() -> List[str]:
     """Which engine variants are live in this interpreter (one line each).
 
     The doctor surface behind ``repro perf --engines``: reports the
-    always-available pure-Python schedulers, whether the optional
-    compiled core loaded (with the failure reason when it did not), and
-    what the selection modes would resolve to right now.
+    always-available pure-Python heap, whether the optional compiled
+    core loaded (with the failure reason when it did not), and what
+    ``"best"`` would resolve to right now.
     """
-    from repro.sim import AUTO_CALENDAR_DEPTH, compiled_available, compiled_error
+    from repro.sim import compiled_available, compiled_error
     from repro.sim._compiled import load_compiled
 
     lines = [
         f"{'engine':>10s}  status",
         f"{'heap':>10s}  built-in (default; the behavioral reference)",
-        f"{'calendar':>10s}  built-in (deep pending sets)",
     ]
     if compiled_available():
         module = load_compiled()
@@ -651,10 +528,6 @@ def engine_report() -> List[str]:
     else:
         lines.append(f"{'compiled':>10s}  unavailable: {compiled_error()}")
         lines.append(f"{'best':>10s}  -> heap (compiled core unavailable)")
-    lines.append(
-        f"{'auto':>10s}  -> heap or calendar at first run "
-        f"(calendar at >= {AUTO_CALENDAR_DEPTH} pending events)"
-    )
     return lines
 
 

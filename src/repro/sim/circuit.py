@@ -138,10 +138,6 @@ class CircuitPort(EgressPort):
         **kwargs,
     ):
         super().__init__(sim, rate_bps, prop_delay_ns, **kwargs)
-        # VOQ ports are circuit-scheduled (day/night), not work-conserving
-        # FIFOs — packet-train batching does not apply; force the exact
-        # per-packet path regardless of the simulator-wide batch limit.
-        self._batch_limit = 1
         self.tor_id = tor_id
         self.dst_tor_of = dst_tor_of
         self.voqs: Dict[int, deque] = {}
@@ -157,10 +153,6 @@ class CircuitPort(EgressPort):
         buffer = self.buffer
         voq_len = self.voq_bytes.get(dst_tor, 0)
         if buffer is not None:
-            if self.sim.now >= buffer._next_release:
-                # Flush train-batched deferred releases (other ports of
-                # this switch) so DT admission sees the true occupancy.
-                buffer.release_due(self.sim.now)
             if pkt.kind == DATA and not buffer.admits(voq_len, size):
                 self.drops += 1
                 buffer.on_drop()

@@ -62,10 +62,6 @@ class PfcController:
                 f"{low_watermark}/{high_watermark}/{switch.buffer.capacity}"
             )
         self.sim = sim
-        # PFC may pause upstream ports mid-train: turn on per-packet
-        # train bookkeeping so a pause can truncate at the exact packet
-        # boundary (off by default — it costs on the batched hot path).
-        sim.pause_tracking = True
         self.switch = switch
         self.upstream_ports = list(upstream_ports)
         self.high_watermark = high_watermark
@@ -87,12 +83,7 @@ class PfcController:
         # Fires every poll interval for the whole run: keep it lean (the
         # engine's tuple fast path makes the reschedule allocation-free).
         sim = self.sim
-        buffer = self.switch.buffer
-        if sim.now >= buffer._next_release:
-            # Train batching defers releases; flush so the watermark
-            # comparison sees the true occupancy (one compare otherwise).
-            buffer.release_due(sim.now)
-        used = buffer.used
+        used = self.switch.buffer.used
         if not self.paused and used >= self.high_watermark:
             self.paused = True
             self.pause_events += 1

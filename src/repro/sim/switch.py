@@ -8,8 +8,7 @@ to the switch's routing *policy* (:mod:`repro.routing`): flow-level ECMP
 by default, or any registered policy (WRR, least-loaded, spray) passed as
 ``policy=``.
 
-The default — parameterless ECMP, ``policy=None`` — is special-cased the
-same way :class:`repro.sim.port.EgressPort` specializes its hot path:
+The default — parameterless ECMP, ``policy=None`` — is special-cased:
 ``__new__`` swaps construction to :class:`_EcmpSwitch`, whose
 ``route_for``/``receive`` inline the exact historical hash arithmetic
 with no policy indirection, so the 26 committed figure series are
@@ -77,10 +76,10 @@ class Switch:
     )
 
     def __new__(cls, sim, *args, **kwargs):
-        # Class-swap specialization, mirroring EgressPort.__new__: the
-        # overwhelmingly common configuration (no policy object = default
-        # ECMP) gets a subclass whose route_for/receive inline the seed-
-        # exact hash with no policy branch.  Subclasses (RdcnToR) are
+        # Class-swap specialization: the overwhelmingly common
+        # configuration (no policy object = default ECMP) gets a subclass
+        # whose route_for/receive inline the seed-exact hash with no
+        # policy branch.  Subclasses (RdcnToR) are
         # never swapped; set_policy() re-swaps after construction.
         policy = kwargs.get("policy") if len(args) < 4 else args[3]
         if cls is Switch and policy is None:

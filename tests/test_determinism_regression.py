@@ -21,22 +21,16 @@ def _run_tiny(name, **extra):
     return result.provenance["events_processed"], result.metrics
 
 
-#: every scheduler x batching engine configuration the simulator supports
-#: (compiled cells skip visibly when the optional extension is unbuilt)
+#: every engine the simulator supports (compiled cells skip visibly when
+#: the optional extension is unbuilt)
 ENGINE_CONFIGS = [
-    {"scheduler": "heap", "tx_batch_limit": 1},
-    {"scheduler": "heap", "tx_batch_limit": 8},
-    {"scheduler": "calendar", "tx_batch_limit": 1},
-    {"scheduler": "calendar", "tx_batch_limit": 8},
-    {"scheduler": "compiled", "tx_batch_limit": 1},
-    {"scheduler": "compiled", "tx_batch_limit": 8},
-    {"scheduler": "auto", "tx_batch_limit": 1},
+    {"scheduler": "heap"},
+    {"scheduler": "compiled"},
+    {"scheduler": "best"},
 ]
 
 
-@pytest.mark.parametrize(
-    "engine", ENGINE_CONFIGS, ids=lambda e: f"{e['scheduler']}-b{e['tx_batch_limit']}"
-)
+@pytest.mark.parametrize("engine", ENGINE_CONFIGS, ids=lambda e: e["scheduler"])
 @pytest.mark.parametrize(
     "scenario,extra",
     [
@@ -55,7 +49,6 @@ def test_same_seed_same_run(scenario, extra, engine):
     assert metrics_a == metrics_b
 
 
-@pytest.mark.parametrize("alternative", ["calendar", "compiled", "auto"])
 @pytest.mark.parametrize(
     "scenario,extra",
     [
@@ -63,9 +56,9 @@ def test_same_seed_same_run(scenario, extra, engine):
         ("websearch", {"algorithm": "hpcc", "seed": 7}),
     ],
 )
+@pytest.mark.parametrize("alternative", ["compiled", "best"])
 def test_alternative_schedulers_match_heap_exactly(scenario, extra, alternative):
-    # Every non-heap event path preserves (time, seq) order exactly, so —
-    # unlike batching, which is a documented approximation — swapping
+    # Every engine pops the same heap in (time, seq) order, so swapping
     # schedulers must not move a single event or metric
     # (docs/INVARIANTS.md#compiled-parity).
     require_compiled(alternative)

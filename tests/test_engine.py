@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, engine_defaults
 
 
 def test_events_fire_in_time_order():
@@ -288,3 +288,36 @@ def test_run_with_gc_pause_disabled():
     sim.at(10, fired.append, 1)
     sim.run()
     assert fired == [1]
+
+
+def _enter_engine_defaults(**kwargs):
+    with engine_defaults(**kwargs):
+        pass
+
+
+@pytest.mark.parametrize("make", [Simulator, _enter_engine_defaults],
+                         ids=["Simulator", "engine_defaults"])
+@pytest.mark.parametrize(
+    "kwargs,error",
+    [
+        ({"scheduler": "calendar"}, ValueError),
+        ({"scheduler": "auto"}, ValueError),
+        ({"tx_batch_limit": 8}, TypeError),
+    ],
+    ids=["calendar", "auto", "tx_batch_limit"],
+)
+def test_removed_engine_modes_fail_loudly(make, kwargs, error):
+    # The calendar queue, "auto" and packet-train batching were removed;
+    # asking for them must name what exists instead of running silently.
+    with pytest.raises(error) as excinfo:
+        make(**kwargs)
+    if error is ValueError:
+        for name in ("heap", "compiled", "best"):
+            assert name in str(excinfo.value)
+
+
+def test_tx_batch_limit_is_a_read_only_constant():
+    sim = Simulator()
+    assert sim.tx_batch_limit == 1
+    with pytest.raises(AttributeError):
+        sim.tx_batch_limit = 8
