@@ -189,10 +189,8 @@ def run_bursty(config: BurstyConfig) -> BurstyResult:
         host_bw_bps=params.host_bw_bps,
         size_scale=config.size_scale,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
     result.flows = driver.flows
+    result.ideal_fn = net.ideal_fct_lookup(driver.flows, config.mtu_payload)
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed
     result.incast_count = len(events)

@@ -141,10 +141,8 @@ def run_lb_matrix(config: LbMatrixConfig) -> LbMatrixResult:
         base_rtt_ns=net.base_rtt_ns,
         host_bw_bps=params.host_bw_bps,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
     result.flows = driver.flows
+    result.ideal_fn = net.ideal_fct_lookup(driver.flows, config.mtu_payload)
     result.uplink_tx_bytes = [port.tx_bytes for port in uplinks]
     result.hotspot_peak_qlen_bytes = max(
         (port.max_qlen_bytes for port in uplinks), default=0

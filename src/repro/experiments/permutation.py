@@ -118,10 +118,8 @@ def run_permutation(config: PermutationConfig) -> PermutationResult:
         base_rtt_ns=net.base_rtt_ns,
         host_bw_bps=params.host_bw_bps,
     )
-    result.ideal_fn = lambda flow: net.ideal_fct_ns(
-        flow.src, flow.dst, flow.size_bytes, config.mtu_payload
-    )
     result.flows = driver.flows
+    result.ideal_fn = net.ideal_fct_lookup(driver.flows, config.mtu_payload)
     result.drops = net.total_drops()
     result.events_processed = sim.events_processed
     return result

@@ -19,6 +19,7 @@ interchangeably.  Concrete scenarios register themselves with
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -135,6 +136,13 @@ class Scenario:
         start = time.perf_counter()  # lint: disable=wall-clock
         raw = runnable()
         wall_s = time.perf_counter() - start  # lint: disable=wall-clock
+        # A finished network is a reference cycle that only the cyclic
+        # collector frees, and Simulator.run pauses that collector.  Raw
+        # results hold only data, so this one pass frees the run's
+        # network before the next scenario builds (docs/INVARIANTS.md#memory).
+        # It sits here, not in Simulator.run, which callers may invoke
+        # thousands of times per scenario.
+        gc.collect()
         metrics, series = self.collect(config, raw)
         provenance = {
             "scenario": self.name,

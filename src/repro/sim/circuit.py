@@ -178,6 +178,7 @@ class CircuitPort(EgressPort):
         return True
 
     def _pop_next(self) -> Optional[Packet]:
+        """Head of the active destination's VOQ (None at night or empty)."""
         if self.active_dst is None:
             return None
         voq = self.voqs.get(self.active_dst)
@@ -188,14 +189,15 @@ class CircuitPort(EgressPort):
         return pkt
 
     def _stamp_qlen(self, pkt: Packet) -> int:
+        """Queue length for INT records: the packet's own VOQ."""
         return self.voq_bytes.get(self.dst_tor_of(pkt.dst), 0)
 
     def _start_tx(self) -> None:
-        # The generic (non-inlined) transmit path: the base class fuses
-        # the strict-priority pop and qlen stamp into its hot loop, which
-        # a VOQ port cannot share — drain and telemetry go through the
-        # _pop_next / _stamp_qlen hooks here instead.  Circuit uplinks are
-        # a tiny fraction of a run's events, so the indirection is cheap.
+        # The VOQ transmit path: the base class fuses the strict-priority
+        # pop and qlen stamp into its hot loop, which a VOQ port cannot
+        # share — drain and telemetry go through _pop_next / _stamp_qlen
+        # here instead.  Circuit uplinks are a tiny fraction of a run's
+        # events, so the indirection is cheap.
         pkt = self._pop_next()
         if pkt is None:
             return

@@ -38,7 +38,11 @@ never over-report cancelled entries awaiting compaction.
 ``Simulator.run`` optionally pauses the cyclic garbage collector for the
 duration of the loop (on by default): the hot path allocates almost
 nothing, so GC passes are pure overhead mid-run.  Pass ``pause_gc=False``
-to the constructor to opt out.
+to the constructor to opt out.  The same thrift means no pass comes
+after a run either, while a finished network is a reference cycle only
+that collector can free; ``Scenario.run`` therefore runs one full pass
+at the scenario boundary (docs/INVARIANTS.md#memory).  The pass is kept
+out of ``run`` itself, which callers may invoke thousands of times.
 
 The process-wide default scheduler can be set temporarily with
 :func:`engine_defaults`, so benchmarks and tests can flip engines

@@ -112,6 +112,12 @@ class EgressPort:
     record_queuing:
         when True, per-packet queueing delays are appended to
         ``queuing_delays_ns`` (used for the Fig. 8b tail-latency metric).
+
+    A port pays only for what it uses: each priority's deque in
+    ``queues`` is created by the first packet queued at that priority
+    (only HOMA uses priorities above 0), and the ECN RNG (:attr:`rng`)
+    is built on first read (only RED-ramp ECN ports ever draw).  Neither
+    changes a result: the RNG's seed is fixed at construction.
     """
 
     __slots__ = (
@@ -124,7 +130,8 @@ class EgressPort:
         "int_stamping",
         "name",
         "port_id",
-        "rng",
+        "_rng",
+        "_rng_seed",
         "queues",
         "qlen_bytes",
         "tx_bytes",
@@ -173,9 +180,14 @@ class EgressPort:
         # is stable across runs; the global port_id counter is not, and
         # seeding from it would make identical runs diverge.  Unnamed
         # ports fall back to a per-simulator construction counter, so two
-        # anonymous ports never share a mark sequence.
-        self.rng = rng if rng is not None else random.Random(name or _anon_seed(sim))
-        self.queues: List[deque] = [deque() for _ in range(NUM_PRIORITIES)]
+        # anonymous ports never share a mark sequence.  The seed is fixed
+        # here (the counter advances in construction order); the
+        # generator itself is built on first use by :attr:`rng`.
+        self._rng = rng
+        self._rng_seed = None if rng is not None else (name or _anon_seed(sim))
+        #: per-priority FIFOs, each created by the first packet queued at
+        #: that priority (most ports only ever use priority 0)
+        self.queues: List[Optional[deque]] = [None] * NUM_PRIORITIES
         self.qlen_bytes = 0
         self.tx_bytes = 0
         self.busy = False
@@ -244,7 +256,10 @@ class EgressPort:
 
         pkt.enqueue_ts = self.sim.now
         priority = pkt.priority
-        self.queues[priority].append(pkt)
+        queue = self.queues[priority]
+        if queue is None:
+            queue = self.queues[priority] = deque()
+        queue.append(pkt)
         self._nonempty |= 1 << priority
         qlen = self.qlen_bytes + size
         self.qlen_bytes = qlen
@@ -257,33 +272,11 @@ class EgressPort:
     # ------------------------------------------------------------------
     # Dequeue path
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[Packet]:
-        # Strict priority without scanning empty queues: the lowest set
-        # bit of the nonempty mask is the highest-priority backlogged queue.
-        mask = self._nonempty
-        if not mask:
-            return None
-        priority = (mask & -mask).bit_length() - 1
-        queue = self.queues[priority]
-        pkt = queue.popleft()
-        if not queue:
-            self._nonempty = mask & (mask - 1)  # clear the lowest set bit
-        return pkt
-
-    def _stamp_qlen(self, pkt: Packet) -> int:
-        """Queue length reported in INT records.
-
-        A subclass hook: the base-class hot path inlines the plain
-        ``qlen_bytes`` read, so VOQ ports (``CircuitPort``) override
-        :meth:`_start_tx` wholesale and route through this hook there.
-        """
-        return self.qlen_bytes
-
     def _start_tx(self) -> None:
         # The per-packet hot path: the strict-priority pop, the INT stamp,
-        # and the finish-event push are all inlined (no _pop_next /
-        # _stamp_qlen / sim.at indirection) — this method and _finish_tx
-        # execute once per packet per hop, millions of times per run.
+        # and the finish-event push are all inlined (no sim.at
+        # indirection) — this method and _finish_tx execute once per
+        # packet per hop, millions of times per run.
         mask = self._nonempty
         if not mask:
             return
@@ -366,6 +359,14 @@ class EgressPort:
             self._start_tx()
 
     # ------------------------------------------------------------------
+    @property
+    def rng(self) -> random.Random:
+        """The ECN-marking RNG, built from the port's seed on first read."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng
+
     @property
     def utilization_bytes(self) -> int:
         """Cumulative bytes transmitted (basis of throughput sampling)."""

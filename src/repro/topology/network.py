@@ -11,6 +11,7 @@ from repro.sim.host import Host
 from repro.sim.packet import ACK_BYTES, HEADER_BYTES
 from repro.sim.port import EcnConfig, EgressPort
 from repro.sim.switch import Switch
+from repro.transport.flow import Flow
 from repro.units import tx_time_ns
 
 
@@ -258,6 +259,23 @@ class Network:
             rates, props = self.path_profile_fn(src, dst)
             return path_ideal_fct_ns(rates, props, size_bytes, mtu_payload)
         return self.base_rtt_ns + tx_time_ns(size_bytes, self.host_bw_bps)
+
+    def ideal_fct_lookup(
+        self, flows: Sequence[Flow], mtu_payload: int = 1000
+    ) -> Callable[[Flow], int]:
+        """``flow -> ideal_fct_ns`` for ``flows``, computed up front.
+
+        The lookup holds only the precomputed numbers, not this network,
+        so a result that keeps it does not keep the finished simulation
+        alive (docs/INVARIANTS.md#memory).
+        """
+        table = {
+            flow.flow_id: self.ideal_fct_ns(
+                flow.src, flow.dst, flow.size_bytes, mtu_payload
+            )
+            for flow in flows
+        }
+        return lambda flow: table[flow.flow_id]
 
     def total_drops(self) -> int:
         """Packets dropped across all switch ports (DT rejections)."""

@@ -46,8 +46,6 @@ def measured_norm_power(net, driver, flows):
     bottleneck = net.port("bottleneck")
     stamps = []
 
-    real_stamp = bottleneck._stamp_qlen
-
     # Sample two dequeue events one base-RTT apart via the port counters.
     t0 = (net.sim.now, bottleneck.qlen_bytes, bottleneck.tx_bytes)
     net.sim.run(until=net.sim.now + net.base_rtt_ns)
